@@ -6,11 +6,14 @@ all: build test
 
 # check is what CI runs: static analysis, a full build, the race
 # detector over every test (which certifies the sweep worker pool and
-# the online service), and the daemon smoke test.
+# the online service), the benchmark's own tests, and the daemon smoke
+# test. perfbench/ is a nested module, so the root ./... never reaches
+# its tests even though they drive internal/service and internal/shard.
 check: staticcheck
 	go vet ./...
 	go build ./...
 	go test -race ./...
+	cd perfbench && go vet ./... && go test ./...
 	./scripts/smoke.sh
 
 # staticcheck runs when the binary is installed (CI installs it; local

@@ -21,6 +21,13 @@
 // cross-shard coordination. The donation API (StealQueued/InjectQueued)
 // lets the router's rebalancer migrate still-queued jobs between shards
 // without either engine being touched by a foreign goroutine.
+//
+// Every way a job reaches the loop — Submit/SubmitNowait, InjectQueued,
+// ForceRequeue, Restore and Absorb — goes through one primitive,
+// enqueueLocked: under the service mutex it checks queue space, journals
+// the spec, registers the queued record and sends the job. The entry
+// points differ only in their own policy (who assigns the ID, when a
+// draining service still accepts, what a failure means to the caller).
 package service
 
 import (
@@ -130,12 +137,14 @@ type Config struct {
 	// Admission, when non-nil, is consulted before a submission may
 	// enter the queue: a denial is returned as *AdmissionError (HTTP
 	// 429 admission_denied) without assigning an ID or touching the
-	// queue. Only external submissions are policed — the donation and
-	// replay paths (StealQueued/InjectQueued/ForceRequeue/Restore/
-	// Absorb) move work that was already admitted somewhere and bypass
-	// the policy. In a sharded deployment the router owns the policy
-	// instead, so a deployment-wide decision is charged once, not once
-	// per spill attempt; set this only on a directly-driven service.
+	// queue. Only external submissions are policed: the policy runs in
+	// Submit/SubmitNowait ahead of enqueueLocked, the one enqueue
+	// primitive, while the donation and replay paths (InjectQueued/
+	// ForceRequeue/Restore/Absorb) reach it without the policy — they
+	// move work that was already admitted somewhere. In a sharded
+	// deployment the router owns the policy instead, so a
+	// deployment-wide decision is charged once, not once per spill
+	// attempt; set this only on a directly-driven service.
 	Admission admission.Policy
 }
 
@@ -173,10 +182,10 @@ type JobInfo struct {
 	// per-tenant admission decisions and ?tenant= filters use.
 	Tenant     string   `json:"tenant,omitempty"`
 	State      JobState `json:"state"`
-	Tasks      int            `json:"tasks"`
-	Arrival    int64          `json:"arrival_slot"`
-	FirstStart int64          `json:"first_start_slot"`
-	Finish     int64          `json:"finish_slot"`
+	Tasks      int      `json:"tasks"`
+	Arrival    int64    `json:"arrival_slot"`
+	FirstStart int64    `json:"first_start_slot"`
+	Finish     int64    `json:"finish_slot"`
 	// Flowtime is finish − arrival in slots: the job's JCT, the
 	// paper's primary metric, stamped at completion.
 	Flowtime int64 `json:"flowtime_slots"`
@@ -335,15 +344,15 @@ type Service struct {
 	mu         sync.RWMutex
 	stopping   bool // guarded by mu: serializes Submit against drain exit
 	loopExited bool // guarded by mu: the loop took its drain-exit decision
-	jobs     map[workload.JobID]*JobInfo
-	nextID   workload.JobID
-	counts   Counts
-	tasksOut int64 // outstanding task volume of accepted, unfinished jobs
-	clock    int64
-	snap     ClusterSnapshot
-	err      error
-	admitCh  chan struct{} // closed+replaced on every admit: queue-space broadcast
-	jnlStat  JournalStatus // guarded by mu; zero when cfg.Journal is nil
+	jobs       map[workload.JobID]*JobInfo
+	nextID     workload.JobID
+	counts     Counts
+	tasksOut   int64 // outstanding task volume of accepted, unfinished jobs
+	clock      int64
+	snap       ClusterSnapshot
+	err        error
+	admitCh    chan struct{} // closed+replaced by wakeLocked: queue-space broadcast
+	jnlStat    JournalStatus // guarded by mu; zero when cfg.Journal is nil
 
 	reg        *metrics.Registry
 	mSubmitted *metrics.Counter
@@ -353,13 +362,13 @@ type Service struct {
 	// mDenied is nil unless cfg.Admission is set (registering it
 	// unconditionally would change the exposition of policy-less
 	// deployments); only the admission-deny path increments it.
-	mDenied *metrics.Counter
-	mQueue     *metrics.Gauge
-	mActive    *metrics.Gauge
-	mClock     *metrics.Gauge
-	mUtilCPU   *metrics.Gauge
-	mUtilMem   *metrics.Gauge
-	mJCT       *metrics.Histogram
+	mDenied  *metrics.Counter
+	mQueue   *metrics.Gauge
+	mActive  *metrics.Gauge
+	mClock   *metrics.Gauge
+	mUtilCPU *metrics.Gauge
+	mUtilMem *metrics.Gauge
+	mJCT     *metrics.Histogram
 
 	// Journal metrics; nil when cfg.Journal is nil (registering them
 	// unconditionally would change the exposition of an unjournaled
@@ -535,7 +544,9 @@ func (s *Service) precheck(ctx context.Context, j *workload.Job) error {
 }
 
 // submit assigns an ID and enqueues a prechecked job. Callers must have
-// run precheck first.
+// run precheck first. The job takes the next free ID, and the allocator
+// advances only once the job is in the queue, so a rejected submission
+// leaves the ID space untouched.
 func (s *Service) submit(j *workload.Job, countReject bool) (workload.JobID, error) {
 	s.mu.Lock()
 	if s.stopping {
@@ -543,42 +554,25 @@ func (s *Service) submit(j *workload.Job, countReject bool) (workload.JobID, err
 		return 0, ErrStopped
 	}
 	id := s.nextID
-	s.nextID += workload.JobID(s.cfg.IDStride)
 	j.ID = id
-	j.Arrival = 0 // clamped to the live clock at injection
-	info := &JobInfo{
-		ID: id, Name: j.Name, App: j.App, Tenant: j.Tenant, State: StateQueued,
-		Tasks: j.TotalTasks(), Arrival: -1, FirstStart: -1, Finish: -1, Flowtime: -1,
+	seq, err := s.enqueueLocked(j, journal.OpSubmitted)
+	switch {
+	case err == nil:
+		s.nextID += workload.JobID(s.cfg.IDStride)
+		s.mSubmitted.Inc()
+	case errors.Is(err, ErrQueueFull) && countReject:
+		// Counter and count move inside one critical section, so a
+		// /metrics scrape never disagrees with /v1 accounting.
+		s.counts.Rejected++
+		s.mRejected.Inc()
 	}
-	if len(s.subCh) == cap(s.subCh) {
-		s.nextID -= workload.JobID(s.cfg.IDStride)
-		if countReject {
-			// Counter and count move inside one critical section, so a
-			// /metrics scrape never disagrees with /v1 accounting.
-			s.counts.Rejected++
-			s.mRejected.Inc()
-		}
-		s.mu.Unlock()
-		return 0, ErrQueueFull
-	}
-	// Journal (and so marshal) the spec BEFORE the job becomes visible on
-	// the channel: the send transfers ownership of j to the loop, which
-	// rewrites its arrival outside mu.
-	seq, jerr := s.journalLocked(journal.Record{Op: journal.OpSubmitted, ID: id, Job: j})
-	if jerr != nil {
-		s.nextID -= workload.JobID(s.cfg.IDStride)
-		s.mu.Unlock()
-		s.fail(jerr)
-		return 0, jerr
-	}
-	// The job must be fully stamped and registered before it becomes
-	// visible on the channel: the loop may admit it immediately.
-	s.jobs[id] = info
-	s.subCh <- j // space checked above; every sender serializes on mu
-	s.counts.Submitted++
-	s.tasksOut += int64(info.Tasks)
-	s.mSubmitted.Inc()
 	s.mu.Unlock()
+	if err != nil {
+		if !errors.Is(err, ErrQueueFull) {
+			s.fail(err)
+		}
+		return 0, err
+	}
 	if s.cfg.Journal != nil {
 		// Group-commit outside the lock: the submission is acknowledged
 		// only once its record is on disk, and concurrent submitters
@@ -592,6 +586,64 @@ func (s *Service) submit(j *workload.Job, countReject bool) (workload.JobID, err
 		}
 	}
 	return id, nil
+}
+
+// enqueueLocked is the one way a job enters the admission queue; every
+// entry point wraps it with its own policy. The caller holds mu and j
+// carries its final ID. A full queue returns ErrQueueFull. Otherwise
+// the op record with the full spec is appended (and so marshaled)
+// BEFORE the send, because the send hands j to the loop, which rewrites
+// its arrival outside mu. A failed append returns with nothing
+// registered or sent; the caller fails the service after releasing mu.
+// The job is registered before the send, since the loop may admit it
+// immediately. The record is durable only after the caller commits seq.
+func (s *Service) enqueueLocked(j *workload.Job, op journal.Op) (seq uint64, err error) {
+	if len(s.subCh) == cap(s.subCh) {
+		return 0, ErrQueueFull
+	}
+	j.Arrival = 0 // clamped to the live clock at injection
+	seq, err = s.journalLocked(journal.Record{Op: op, ID: j.ID, Job: j})
+	if err != nil {
+		return 0, err
+	}
+	tasks := j.TotalTasks()
+	s.jobs[j.ID] = &JobInfo{
+		ID: j.ID, Name: j.Name, App: j.App, Tenant: j.Tenant, State: StateQueued,
+		Tasks: tasks, Arrival: -1, FirstStart: -1, Finish: -1, Flowtime: -1,
+	}
+	s.subCh <- j // space checked above; every sender serializes on mu
+	s.counts.Submitted++
+	s.tasksOut += int64(tasks)
+	return seq, nil
+}
+
+// completedLocked records a replayed completed job as lifecycle
+// history: its record, counts and JCT observation, so counters stay
+// consistent with /v1 across a restart or takeover. Caller holds mu.
+func (s *Service) completedLocked(rj *journal.ReplayJob) {
+	info := &JobInfo{
+		ID: rj.ID, State: StateCompleted,
+		Arrival: rj.Finish - rj.Flowtime, FirstStart: -1,
+		Finish: rj.Finish, Flowtime: rj.Flowtime,
+	}
+	if j := rj.Job; j != nil {
+		info.Name, info.App, info.Tenant, info.Tasks = j.Name, j.App, j.Tenant, j.TotalTasks()
+	}
+	s.jobs[rj.ID] = info
+	s.counts.Submitted++
+	s.counts.Completed++
+	s.mSubmitted.Inc()
+	s.mCompleted.Inc()
+	s.mJCT.Observe(float64(rj.Flowtime))
+}
+
+// wakeLocked broadcasts to blocked Submit callers — freed queue space
+// or a drain — by closing the current admission channel and replacing
+// it; waiters that grabbed the old channel wake and retry. Caller holds
+// mu.
+func (s *Service) wakeLocked() {
+	close(s.admitCh)
+	s.admitCh = make(chan struct{})
 }
 
 // journalLocked appends one record to the configured journal (a no-op
@@ -667,21 +719,21 @@ drained:
 	if len(out) > 0 {
 		// The steal freed queue space: wake blocked Submit waiters just
 		// like an admission does.
-		close(s.admitCh)
-		s.admitCh = make(chan struct{})
+		s.wakeLocked()
 	}
 	return out
 }
 
 // InjectQueued accepts migrated jobs that already carry IDs from
 // another shard's residue class — the receiving half of the donation
-// path. Jobs are registered and enqueued exactly like a fresh
-// submission except that the service does not assign IDs and does not
-// bump the submission metric (the job was already counted where it
-// first arrived; Counts.Submitted moves shard-to-shard so the
+// path. Each job goes through the same enqueue as a fresh submission,
+// journaled as `injected`, except that the service does not assign IDs
+// and does not bump the submission metric (the job was already counted
+// where it first arrived; Counts.Submitted moves shard-to-shard so the
 // deployment-wide sum is invariant). Returns how many jobs were
-// accepted, always a prefix of jobs — a full queue or a draining
-// service stops the intake and the caller re-homes the rest.
+// accepted, always a prefix of jobs — a full queue, a draining service
+// or a failed journal append stops the intake and the caller re-homes
+// the rest. A failed append also fails the service.
 func (s *Service) InjectQueued(jobs []*workload.Job) int {
 	var jerr error
 	defer func() {
@@ -694,30 +746,18 @@ func (s *Service) InjectQueued(jobs []*workload.Job) int {
 	if s.stopping {
 		return 0
 	}
-	n := 0
-	for _, j := range jobs {
-		info := &JobInfo{
-			ID: j.ID, Name: j.Name, App: j.App, State: StateQueued,
-			Tasks: j.TotalTasks(), Arrival: -1, FirstStart: -1, Finish: -1, Flowtime: -1,
-		}
-		if len(s.subCh) == cap(s.subCh) {
-			return n
-		}
+	for n, j := range jobs {
 		// The injected record carries the full spec so this shard's
 		// segment replays alone; durability rides the next fsync —
-		// replay dedupes against the donor's segment either way. Marshal
-		// before the send: the loop owns j once it is on the channel.
-		if _, err := s.journalLocked(journal.Record{Op: journal.OpInjected, ID: j.ID, Job: j}); err != nil && jerr == nil {
-			jerr = err
+		// replay dedupes against the donor's segment either way.
+		if _, err := s.enqueueLocked(j, journal.OpInjected); err != nil {
+			if !errors.Is(err, ErrQueueFull) {
+				jerr = err
+			}
+			return n
 		}
-		// Register before the send: the loop may admit immediately.
-		s.jobs[j.ID] = info
-		s.subCh <- j // space checked above; every sender serializes on mu
-		s.counts.Submitted++
-		s.tasksOut += int64(info.Tasks)
-		n++
 	}
-	return n
+	return len(jobs)
 }
 
 // ForceRequeue puts stolen jobs back even on a draining service — the
@@ -726,36 +766,27 @@ func (s *Service) InjectQueued(jobs []*workload.Job) int {
 // any shard drains, so this path is unreachable in the router
 // lifecycle; it exists so a direct per-shard Stop racing a migration
 // surfaces loudly instead of silently dropping accepted jobs: a job
-// that cannot be requeued (queue refilled, or the loop already took its
-// drain-exit decision) fails the service. A draining-but-running loop
-// still finishes its queue, so requeued jobs complete; the loop-exit
-// decision and this enqueue share mu, so the loop either sees the
-// refilled queue and keeps draining or had already exited and the
-// requeue is refused.
+// that cannot be requeued (queue refilled, journal append failed, or
+// the loop already took its drain-exit decision) fails the service. A
+// draining-but-running loop still finishes its queue, so requeued jobs
+// complete; the loop-exit decision and this enqueue share mu, so the
+// loop either sees the refilled queue and keeps draining or had already
+// exited and the requeue is refused.
 func (s *Service) ForceRequeue(jobs []*workload.Job) {
 	s.mu.Lock()
 	var stranded []workload.JobID
 	var jerr error
 	for _, j := range jobs {
-		if s.loopExited {
-			stranded = append(stranded, j.ID)
-			continue
+		if !s.loopExited {
+			_, err := s.enqueueLocked(j, journal.OpInjected)
+			if err == nil {
+				continue
+			}
+			if jerr == nil && !errors.Is(err, ErrQueueFull) {
+				jerr = err
+			}
 		}
-		info := &JobInfo{
-			ID: j.ID, Name: j.Name, App: j.App, State: StateQueued,
-			Tasks: j.TotalTasks(), Arrival: -1, FirstStart: -1, Finish: -1, Flowtime: -1,
-		}
-		if len(s.subCh) == cap(s.subCh) {
-			stranded = append(stranded, j.ID)
-			continue
-		}
-		if _, err := s.journalLocked(journal.Record{Op: journal.OpInjected, ID: j.ID, Job: j}); err != nil && jerr == nil {
-			jerr = err
-		}
-		s.jobs[j.ID] = info
-		s.subCh <- j // space checked above; every sender serializes on mu
-		s.counts.Submitted++
-		s.tasksOut += int64(info.Tasks)
+		stranded = append(stranded, j.ID)
 	}
 	s.mu.Unlock()
 	if jerr != nil {
@@ -795,50 +826,25 @@ func (s *Service) Restore(jobs []*journal.ReplayJob, records, truncated int64) e
 		}
 		s.bumpNextID(rj.ID)
 		if rj.Outcome == journal.OutcomeCompleted {
-			info := &JobInfo{
-				ID: rj.ID, State: StateCompleted,
-				Arrival: rj.Finish - rj.Flowtime, FirstStart: -1,
-				Finish: rj.Finish, Flowtime: rj.Flowtime,
-			}
-			if rj.Job != nil {
-				info.Name, info.App, info.Tasks = rj.Job.Name, rj.Job.App, rj.Job.TotalTasks()
-			}
-			s.jobs[rj.ID] = info
-			s.counts.Submitted++
-			s.counts.Completed++
-			s.mSubmitted.Inc()
-			s.mCompleted.Inc()
-			s.mJCT.Observe(float64(rj.Flowtime))
+			s.completedLocked(rj)
 			continue
 		}
 		if rj.Job == nil {
 			s.mu.Unlock()
 			return fmt.Errorf("service: replayed job %d has no spec", rj.ID)
 		}
-		j := rj.Job
-		j.ID = rj.ID
-		j.Arrival = 0 // clamped to the fresh engine's clock at injection
-		info := &JobInfo{
-			ID: rj.ID, Name: j.Name, App: j.App, State: StateQueued,
-			Tasks: j.TotalTasks(), Arrival: -1, FirstStart: -1, Finish: -1, Flowtime: -1,
-		}
-		s.jobs[rj.ID] = info
-		select {
-		case s.subCh <- j:
-		default:
-			s.mu.Unlock()
-			return fmt.Errorf("service: replayed backlog exceeds queue capacity %d at job %d (restart with a larger queue)",
-				cap(s.subCh), rj.ID)
-		}
-		s.counts.Submitted++
-		s.tasksOut += int64(info.Tasks)
-		s.mSubmitted.Inc()
-		sq, err := s.journalLocked(journal.Record{Op: journal.OpInjected, ID: rj.ID, Job: j})
+		rj.Job.ID = rj.ID
+		sq, err := s.enqueueLocked(rj.Job, journal.OpInjected)
 		if err != nil {
 			s.mu.Unlock()
+			if errors.Is(err, ErrQueueFull) {
+				return fmt.Errorf("service: replayed backlog exceeds queue capacity %d at job %d (restart with a larger queue)",
+					cap(s.subCh), rj.ID)
+			}
 			return err
 		}
 		seq = sq
+		s.mSubmitted.Inc()
 		s.jnlStat.ReplayedPending++
 	}
 	s.jnlStat.ReplayedJobs += int64(len(jobs))
@@ -909,63 +915,29 @@ func (s *Service) Absorb(jobs []*journal.ReplayJob) (int, error) {
 			continue
 		}
 		s.bumpNextID(rj.ID)
+		var err error
 		if rj.Outcome == journal.OutcomeCompleted {
-			info := &JobInfo{
-				ID: rj.ID, State: StateCompleted,
-				Arrival: rj.Finish - rj.Flowtime, FirstStart: -1,
-				Finish: rj.Finish, Flowtime: rj.Flowtime,
-			}
+			s.completedLocked(rj)
 			if rj.Job != nil {
-				info.Name, info.App, info.Tasks = rj.Job.Name, rj.Job.App, rj.Job.TotalTasks()
+				seq, err = s.journalLocked(journal.Record{Op: journal.OpInjected, ID: rj.ID, Job: rj.Job})
 			}
-			s.jobs[rj.ID] = info
-			s.counts.Submitted++
-			s.counts.Completed++
-			s.mSubmitted.Inc()
-			s.mCompleted.Inc()
-			s.mJCT.Observe(float64(rj.Flowtime))
-			if rj.Job != nil {
-				if sq, err := s.journalLocked(journal.Record{Op: journal.OpInjected, ID: rj.ID, Job: rj.Job}); err != nil {
-					s.mu.Unlock()
-					s.fail(err)
-					return absorbed, err
-				} else if sq > seq {
-					seq = sq
-				}
+			if err == nil {
+				seq, err = s.journalLocked(journal.Record{Op: journal.OpCompleted, ID: rj.ID, Finish: rj.Finish, Flowtime: rj.Flowtime})
 			}
-			if sq, err := s.journalLocked(journal.Record{Op: journal.OpCompleted, ID: rj.ID, Finish: rj.Finish, Flowtime: rj.Flowtime}); err != nil {
-				s.mu.Unlock()
-				s.fail(err)
-				return absorbed, err
-			} else if sq > seq {
-				seq = sq
+		} else {
+			rj.Job.ID = rj.ID
+			// Pre-checked against free space above.
+			if seq, err = s.enqueueLocked(rj.Job, journal.OpInjected); err == nil {
+				s.mSubmitted.Inc()
+				pending++
 			}
-			absorbed++
-			continue
 		}
-		j := rj.Job
-		j.ID = rj.ID
-		j.Arrival = 0 // clamped to the live clock at injection
-		info := &JobInfo{
-			ID: rj.ID, Name: j.Name, App: j.App, State: StateQueued,
-			Tasks: j.TotalTasks(), Arrival: -1, FirstStart: -1, Finish: -1, Flowtime: -1,
-		}
-		// Marshal into the journal before the send: once j is on the
-		// channel the loop owns it and may rewrite its arrival.
-		if sq, err := s.journalLocked(journal.Record{Op: journal.OpInjected, ID: rj.ID, Job: j}); err != nil {
+		if err != nil {
 			s.mu.Unlock()
 			s.fail(err)
 			return absorbed, err
-		} else if sq > seq {
-			seq = sq
 		}
-		s.jobs[rj.ID] = info
-		s.subCh <- j // pre-checked against free space; senders serialize on mu
-		s.counts.Submitted++
-		s.tasksOut += int64(info.Tasks)
-		s.mSubmitted.Inc()
 		absorbed++
-		pending++
 	}
 	s.jnlStat.ReplayedJobs += int64(absorbed)
 	s.jnlStat.ReplayedPending += int64(pending)
@@ -1328,11 +1300,7 @@ func (s *Service) admit(j *workload.Job) uint64 {
 	s.counts.Admitted++
 	s.mAdmitted.Inc() // same critical section as counts: scrapes agree with /v1
 	seq, jerr := s.journalLocked(journal.Record{Op: journal.OpAdmitted, ID: j.ID, Arrival: arr})
-	// Broadcast the freed queue slot to blocked Submit callers: close
-	// the current admission channel and replace it. Waiters that
-	// grabbed the old channel wake and retry.
-	close(s.admitCh)
-	s.admitCh = make(chan struct{})
+	s.wakeLocked() // the admit freed a queue slot
 	s.mu.Unlock()
 	if jerr != nil {
 		s.fail(jerr)
@@ -1416,8 +1384,7 @@ func (s *Service) fail(err error) {
 	s.stopping = true
 	// Wake blocked Submit waiters so they observe stopping and return
 	// ErrStopped instead of waiting on a loop that is gone.
-	close(s.admitCh)
-	s.admitCh = make(chan struct{})
+	s.wakeLocked()
 	s.mu.Unlock()
 }
 
