@@ -242,3 +242,46 @@ func BenchmarkScheduleDecision2000(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCloneRound2000 measures a round that only clones: about
+// 2,500 single-core tasks of 1000 jobs all running on 2000 servers, so
+// every placement comes from the clone passes, one best-fit query per
+// clone, all for one demand shape.
+func BenchmarkCloneRound2000(b *testing.B) {
+	ctx := schedtest.New(cluster.LargeFleet(2000, 7))
+	rng := stats.NewRNG(11)
+	tasks := 0
+	for i := 0; i < 1000; i++ {
+		js := ctx.MustAddJob(&workload.Job{
+			ID: workload.JobID(i + 1), Name: fmt.Sprintf("c%d", i), App: "bench",
+			Phases: []workload.Phase{{
+				Name:         "p",
+				Tasks:        1 + rng.Intn(4),
+				Demand:       resources.Cores(1, 2),
+				MeanDuration: rng.Range(2, 9),
+			}},
+		})
+		tasks += js.Job.Phases[0].Tasks
+	}
+	// Start every task without clones, so the measured rounds have no
+	// pending work left to place.
+	started := core.MustNew(core.WithClones(0)).Schedule(ctx)
+	if len(started) != tasks {
+		b.Fatalf("started %d of %d tasks: the backlog must fit the fleet", len(started), tasks)
+	}
+	if err := ctx.Apply(started); err != nil {
+		b.Fatal(err)
+	}
+	s := core.MustNew()
+	want := s.Schedule(ctx)
+	if clones := ctx.CloneCount(want); clones == 0 || clones != len(want) {
+		b.Fatalf("%d placements, %d clones: the round must place only clones", len(want), clones)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := s.Schedule(ctx); len(got) != len(want) {
+			b.Fatalf("%d clones, want %d", len(got), len(want))
+		}
+	}
+}

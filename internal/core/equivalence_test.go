@@ -478,29 +478,40 @@ func equivJobs(seed uint64, n int) []*workload.Job {
 // the full simulation trace (every place, complete, and kill event),
 // the makespan, and the Schedule call count. Durations are stochastic:
 // one placement moved anywhere would shift an RNG draw and cascade.
+// Most variants run on 16 servers; the -37 variants add a fleet whose
+// last best-fit block (⌊√37⌋ = 6 servers per block) is partial.
 func TestScheduleEquivalenceProperty(t *testing.T) {
 	variants := []struct {
-		name string
-		opt  func() (*core.Scheduler, *seedScheduler)
+		name    string
+		servers int
+		opt     func() (*core.Scheduler, *seedScheduler)
 	}{
-		{"clones2", func() (*core.Scheduler, *seedScheduler) {
+		{"clones2", 16, func() (*core.Scheduler, *seedScheduler) {
 			return core.MustNew(),
 				&seedScheduler{maxClones: 2, r: 1.5, delta: 0.3, prios: map[workload.JobID]int{}}
 		}},
-		{"clones0", func() (*core.Scheduler, *seedScheduler) {
+		{"clones0", 16, func() (*core.Scheduler, *seedScheduler) {
 			return core.MustNew(core.WithClones(0)),
 				&seedScheduler{maxClones: 0, r: 1.5, delta: 0.3, prios: map[workload.JobID]int{}}
 		}},
-		{"avoidance", func() (*core.Scheduler, *seedScheduler) {
+		{"avoidance", 16, func() (*core.Scheduler, *seedScheduler) {
 			return core.MustNew(core.WithStragglerAvoidance(true)),
 				&seedScheduler{maxClones: 2, r: 1.5, delta: 0.3, avoidStragglers: true, prios: map[workload.JobID]int{}}
 		}},
-		{"estimation", func() (*core.Scheduler, *seedScheduler) {
+		{"estimation", 16, func() (*core.Scheduler, *seedScheduler) {
 			cfg := estimate.Config{MinSamples: 3}
 			return core.MustNew(core.WithEstimation(cfg)),
 				&seedScheduler{maxClones: 2, r: 1.5, delta: 0.3, estimator: estimate.New(cfg), prios: map[workload.JobID]int{}}
 		}},
-		{"speculation", func() (*core.Scheduler, *seedScheduler) {
+		{"speculation", 16, func() (*core.Scheduler, *seedScheduler) {
+			return core.MustNew(core.WithSpeculation(1.5, 2)),
+				&seedScheduler{maxClones: 2, r: 1.5, delta: 0.3, speculate: true, specThreshold: 1.5, specMinSample: 2, prios: map[workload.JobID]int{}}
+		}},
+		{"clones2-37", 37, func() (*core.Scheduler, *seedScheduler) {
+			return core.MustNew(),
+				&seedScheduler{maxClones: 2, r: 1.5, delta: 0.3, prios: map[workload.JobID]int{}}
+		}},
+		{"speculation-37", 37, func() (*core.Scheduler, *seedScheduler) {
 			return core.MustNew(core.WithSpeculation(1.5, 2)),
 				&seedScheduler{maxClones: 2, r: 1.5, delta: 0.3, speculate: true, specThreshold: 1.5, specMinSample: 2, prios: map[workload.JobID]int{}}
 		}},
@@ -514,7 +525,7 @@ func TestScheduleEquivalenceProperty(t *testing.T) {
 
 				run := func(s sched.Scheduler) *sim.Result {
 					e, err := sim.New(sim.Config{
-						Cluster:     cluster.LargeFleet(16, seed),
+						Cluster:     cluster.LargeFleet(v.servers, seed),
 						Jobs:        equivJobs(seed, 80),
 						Scheduler:   s,
 						Seed:        seed,

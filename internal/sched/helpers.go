@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"dollymp/internal/cluster"
 	"dollymp/internal/resources"
@@ -47,41 +48,6 @@ func FirstReadyPendingTask(js *workload.JobState) (PendingTask, bool) {
 	return PendingTask{}, false
 }
 
-// BestFitServer returns the server with free capacity that maximizes the
-// inner product between the demand and the server's remaining capacity
-// (the "resource fit" rule of §5 and Tetris' alignment), or false if the
-// demand fits nowhere. Ties break toward the lower server ID.
-func BestFitServer(c *cluster.Cluster, demand resources.Vector) (cluster.ServerID, bool) {
-	total := c.Total()
-	best := cluster.ServerID(-1)
-	bestScore := -1.0
-	for _, s := range c.Servers() {
-		if !demand.Fits(s.Free()) {
-			continue
-		}
-		score := demand.Dot(s.Free(), total)
-		if score > bestScore {
-			bestScore = score
-			best = s.ID
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
-}
-
-// FirstFitServer returns the first server (by ID) whose free capacity
-// fits the demand.
-func FirstFitServer(c *cluster.Cluster, demand resources.Vector) (cluster.ServerID, bool) {
-	for _, s := range c.Servers() {
-		if demand.Fits(s.Free()) {
-			return s.ID, true
-		}
-	}
-	return 0, false
-}
-
 // FitTracker overlays tentative placements on the cluster's free
 // capacities so a scheduler can plan a whole batch without mutating the
 // engine-owned cluster state. It snapshots the free vectors at Reset
@@ -95,6 +61,29 @@ type FitTracker struct {
 	// index maps server ID to fleet position when IDs are sparse;
 	// nil while IDs are dense (position == ID).
 	index map[cluster.ServerID]int
+
+	// BestFit's block cache. Fleet positions are split into blocks of
+	// ⌊√n⌋ and Place bumps the version of the block it touches. Every
+	// demand shape queried since Reset keeps, per block, the block's
+	// best fit and the version it was computed at, so a query rescans
+	// only the blocks placed into since that shape last looked: O(√n)
+	// per query after the shape's first full scan, instead of O(n).
+	block    int
+	versions []uint64
+	shapes   map[resources.Vector][]blockBest
+	// spare holds the per-block slices of the shapes dropped at Reset,
+	// for reuse by the next call's shapes.
+	spare [][]blockBest
+}
+
+// blockBest is one block's best fit for one demand shape: the fleet
+// position maximizing demand·free within the block and its score (both
+// −1 when nothing in the block fits), valid while the block's version
+// still equals version.
+type blockBest struct {
+	score   float64
+	pos     int
+	version uint64
 }
 
 // NewFitTracker creates a tracker over the cluster's current free state.
@@ -118,6 +107,13 @@ func (f *FitTracker) Reset(c *cluster.Cluster) {
 			dense = false
 		}
 	}
+	n := len(f.servers)
+	f.block = max(1, int(math.Sqrt(float64(n))))
+	f.versions = append(f.versions[:0], make([]uint64, (n+f.block-1)/f.block)...)
+	for _, blocks := range f.shapes {
+		f.spare = append(f.spare, blocks)
+	}
+	clear(f.shapes)
 	if dense {
 		f.index = nil
 		return
@@ -157,28 +153,74 @@ func (f *FitTracker) Place(id cluster.ServerID, demand resources.Vector) bool {
 		return false
 	}
 	f.free[i] = f.free[i].Sub(demand)
+	f.versions[i/f.block]++
 	return true
 }
 
 // BestFit returns the fitting server maximizing demand·free, or false.
 // Ties break toward the lower server ID (fleet order).
 func (f *FitTracker) BestFit(demand resources.Vector) (cluster.ServerID, bool) {
+	blocks, ok := f.shapes[demand]
+	if !ok {
+		blocks = f.newShape(demand)
+	}
+	// Strict > in ascending block order, over blocks that each keep
+	// their first maximum, picks the same position as one ascending
+	// scan of the whole fleet.
 	best := -1
 	bestScore := -1.0
-	for i, free := range f.free {
-		if !demand.Fits(free) {
-			continue
+	for b := range blocks {
+		e := &blocks[b]
+		if e.version != f.versions[b] {
+			f.scanBlock(demand, b, e)
 		}
-		score := demand.Dot(free, f.total)
-		if score > bestScore {
-			bestScore = score
-			best = i
+		if e.score > bestScore {
+			bestScore = e.score
+			best = e.pos
 		}
 	}
 	if best < 0 {
 		return 0, false
 	}
 	return f.servers[best].ID, true
+}
+
+// newShape starts demand's block cache with a scan of every block,
+// reusing a slice dropped at Reset when one is left.
+func (f *FitTracker) newShape(demand resources.Vector) []blockBest {
+	var blocks []blockBest
+	if k := len(f.spare); k > 0 {
+		blocks = f.spare[k-1]
+		f.spare = f.spare[:k-1]
+	}
+	blocks = append(blocks[:0], make([]blockBest, len(f.versions))...)
+	for b := range blocks {
+		f.scanBlock(demand, b, &blocks[b])
+	}
+	if f.shapes == nil {
+		f.shapes = make(map[resources.Vector][]blockBest)
+	}
+	f.shapes[demand] = blocks
+	return blocks
+}
+
+// scanBlock recomputes block b's best fit for demand at its current
+// version.
+func (f *FitTracker) scanBlock(demand resources.Vector, b int, e *blockBest) {
+	lo := b * f.block
+	hi := min(lo+f.block, len(f.free))
+	e.score, e.pos, e.version = -1, -1, f.versions[b]
+	for i := lo; i < hi; i++ {
+		free := f.free[i]
+		if !demand.Fits(free) {
+			continue
+		}
+		score := demand.Dot(free, f.total)
+		if score > e.score {
+			e.score = score
+			e.pos = i
+		}
+	}
 }
 
 // WorstFit returns the fitting server with the largest remaining free
