@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short race bench bench-gate check staticcheck smoke sweep figures figures-paper cover clean
+.PHONY: all build test test-short race fuzz bench bench-gate check staticcheck smoke sweep figures figures-paper cover clean
 
 all: build test
 
@@ -47,6 +47,17 @@ test-short:
 race:
 	go test -race ./...
 
+# Run every fuzz target for FUZZTIME each, not just its seed corpus
+# (plain `go test` runs only the seeds). go test -fuzz takes one target
+# per invocation, hence one line per target. New failing inputs land in
+# the package's testdata/fuzz/<Name>/ and replay on every later go test.
+FUZZTIME ?= 15s
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzStreamNext$$' -fuzztime $(FUZZTIME) ./internal/trace
+	go test -run '^$$' -fuzz '^FuzzDecodeJob$$' -fuzztime $(FUZZTIME) ./internal/trace
+	go test -run '^$$' -fuzz '^FuzzStreamReplay$$' -fuzztime $(FUZZTIME) ./internal/trace
+	go test -run '^$$' -fuzz '^FuzzJournalOpen$$' -fuzztime $(FUZZTIME) ./internal/journal
+
 # Regenerate the checked-in bench trajectory: the Go micro-benchmarks
 # (BenchmarkRouterDrain et al., stdout only), the online-engine drain
 # (1M jobs at the full profile plus the streamed replay profiles, 1M
@@ -69,12 +80,15 @@ bench:
 # first use) — and fail if jobs/s dropped or peak RSS rose more than
 # 10% against the committed baselines (what CI's bench-gate job runs).
 # Every profile runs in a forked subprocess, so the gated peak RSS is
-# per profile. The engine run also captures per-profile CPU pprofs so
-# a regression is diagnosable from the CI artifact alone. Fresh
-# reports, profiles and the generated trace are kept for artifact
+# per profile. A separate first pass captures per-profile CPU pprofs so
+# a regression is diagnosable from the CI artifact alone; it is not the
+# gated run, because the profiler's own buffers add ~3 MB of RSS that
+# `make bench` baselines do not carry (+14% on replay-1m's 21 MB).
+# Fresh reports, profiles and the generated trace are kept for artifact
 # upload and removed by `make clean`.
 bench-gate:
-	go run ./cmd/dollymp-bench -drain engine -profiles short,short-2k,replay-1m -cpuprofile engine-short.cpu.pprof -o BENCH_engine.fresh.json
+	go run ./cmd/dollymp-bench -drain engine -profiles short,short-2k,replay-1m -cpuprofile engine-short.cpu.pprof -o /dev/null
+	go run ./cmd/dollymp-bench -drain engine -profiles short,short-2k,replay-1m -o BENCH_engine.fresh.json
 	go run ./cmd/dollymp-bench -drain router -profiles short -o BENCH_router.fresh.json
 	go run ./cmd/dollymp-bench -gate -baseline BENCH_engine.json -fresh BENCH_engine.fresh.json
 	go run ./cmd/dollymp-bench -gate -baseline BENCH_router.json -fresh BENCH_router.fresh.json

@@ -373,7 +373,11 @@ func engineDrain(p drainProfile) (drainRun, error) {
 
 // routerDrain pushes p.jobs through the sharded service core (submit +
 // schedule + drain, no HTTP): the jobs/s companion series to
-// BenchmarkRouterDrain, in BENCH_router.json form.
+// BenchmarkRouterDrain, in BENCH_router.json form. Every job is routed
+// before the loops start, so each loop admits its whole share at slot 0
+// and clock_slots is a deterministic work counter; with the loops
+// running during submission the clock would depend on how submissions
+// interleave with engine steps.
 func routerDrain(p drainProfile) (drainRun, error) {
 	const seed = 7
 	r, err := shard.New(shard.Config{
@@ -388,14 +392,14 @@ func routerDrain(p drainProfile) (drainRun, error) {
 		return drainRun{}, err
 	}
 	start := time.Now()
-	r.Start()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Minute)
-	defer cancel()
 	for i := 0; i < p.jobs; i++ {
-		if _, err := r.Submit(ctx, drainJob(i)); err != nil {
+		if _, err := r.SubmitNowait(drainJob(i)); err != nil {
 			return drainRun{}, fmt.Errorf("submit %d: %w", i, err)
 		}
 	}
+	r.Start()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Minute)
+	defer cancel()
 	if err := r.Stop(ctx); err != nil {
 		return drainRun{}, err
 	}

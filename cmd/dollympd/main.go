@@ -25,7 +25,7 @@
 //
 // With -shards N the fleet is partitioned into N disjoint sub-fleets,
 // each with its own scheduling loop, behind a load-aware router; at the
-// default N=1 the daemon behaves exactly like an unsharded service.
+// default N=1 the router drives one loop over the whole fleet.
 // With -steal a rebalancer migrates still-queued jobs off straggling
 // shards onto near-idle ones (-steal-ratio tunes the imbalance
 // trigger), cutting tail latency when submissions skew to one shard.

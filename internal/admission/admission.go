@@ -10,8 +10,8 @@
 // The split mirrors the AdmissionPolicy/SnapshotProvider decomposition
 // of inference-serving control planes: the policy is a pure decision
 // function over (job, snapshot); the SnapshotProvider is whoever owns
-// the queues — a single service, a shard router summing its shards, or
-// a federation gateway with only partial knowledge — and feeds the
+// the queues — a shard router summing its shards' loops, or a
+// federation gateway with only partial knowledge — and feeds the
 // policy a consistent view of the pressure signals at decision time.
 // Policies never reach back into the scheduler: everything they may
 // consult is in the Snapshot.

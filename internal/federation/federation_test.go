@@ -348,20 +348,29 @@ func TestFederationKillOneOfN(t *testing.T) {
 	if js.ReplayedJobs < int64(len(bIDs)) {
 		t.Fatalf("survivor replayed %d jobs, want at least %d", js.ReplayedJobs, len(bIDs))
 	}
-	// The gateway's membership view records the takeover.
+	// The gateway's membership view records the takeover. It does so
+	// when the survivor's adopt call returns, which can be after the
+	// absorbed jobs have already completed, so wait for the record.
 	var fed struct {
 		Members []MemberStatus `json:"members"`
 	}
-	if code := getJSON(t, gsrv.URL+"/v1/federation", &fed); code != http.StatusOK {
-		t.Fatalf("federation view: %d", code)
-	}
 	var b *MemberStatus
-	for i := range fed.Members {
-		if fed.Members[i].Name == "m1" {
-			b = &fed.Members[i]
+	waitFor(t, 20*time.Second, func() error {
+		if code := getJSON(t, gsrv.URL+"/v1/federation", &fed); code != http.StatusOK {
+			return fmt.Errorf("federation view: %d", code)
 		}
-	}
-	if b == nil || b.Alive || b.AdoptedBy != "m0" {
+		b = nil
+		for i := range fed.Members {
+			if fed.Members[i].Name == "m1" {
+				b = &fed.Members[i]
+			}
+		}
+		if b == nil || b.AdoptedBy == "" {
+			return fmt.Errorf("takeover not recorded: %+v", fed.Members)
+		}
+		return nil
+	})
+	if b.Alive || b.AdoptedBy != "m0" {
 		t.Fatalf("membership after takeover: %+v", fed.Members)
 	}
 	// B's directory holds no live segments anymore.

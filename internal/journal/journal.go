@@ -16,8 +16,9 @@
 // torn tail — is detected positionally: replay stops at the first
 // record whose length, checksum, or JSON does not verify, and Open
 // truncates the file back to the last intact record before appending.
-// A torn tail is expected after a SIGKILL and is not an error; only a
-// bad header (wrong magic or version) fails a replay.
+// A torn tail is expected after a SIGKILL and is not an error, even one
+// cut inside the header; only a bad header (wrong magic or version)
+// fails a replay.
 //
 // # Durability model
 //
@@ -47,6 +48,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -87,6 +89,23 @@ var ErrLeased = errors.New("journal: segment leased by a live writer")
 func LeaseSupported() bool { return flockSupported }
 
 const headerLen = len(magic) + 4
+
+// errBadMagic and errBadVersion classify the hard header errors (the
+// wrong file, not a torn one), errBadRecord a checksummed record the
+// replay state machine refuses (a writer from another version).
+var (
+	errBadMagic   = errors.New("not a journal (bad magic)")
+	errBadVersion = errors.New("unsupported format version")
+	errBadRecord  = errors.New("bad record")
+)
+
+// header returns the valid segment header.
+func header() [headerLen]byte {
+	var hdr [headerLen]byte
+	copy(hdr[:], magic[:])
+	binary.LittleEndian.PutUint32(hdr[len(magic):], FormatVersion)
+	return hdr
+}
 
 // Op names a journaled lifecycle transition.
 type Op string
@@ -274,8 +293,10 @@ func AdoptSegment(path string) (*Replay, error) {
 
 // scan reads the header and every intact record, returning the replay
 // state and the offset of the first byte past the last intact record.
-// A missing or empty file yields an empty replay; a present-but-bad
-// header is an error (wrong file, not a torn one).
+// A missing or empty file yields an empty replay, and so does a strict
+// prefix of a valid header (a torn first write): all of it is tail, so
+// Open truncates it and the next append rewrites the header. A bad
+// header, whole or torn, is an error (wrong file, not a torn one).
 func scan(f *os.File, path string) (*Replay, int64, error) {
 	st, err := f.Stat()
 	if err != nil {
@@ -286,17 +307,24 @@ func scan(f *os.File, path string) (*Replay, int64, error) {
 		// Fresh segment: the header is written with the first append.
 		return rep, 0, nil
 	}
-	r := newStateMachine()
-	var hdr [12]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+	var hdr [headerLen]byte
+	n, err := f.ReadAt(hdr[:], 0)
+	if err != nil && !(errors.Is(err, io.EOF) && int64(n) == st.Size()) {
 		return nil, 0, fmt.Errorf("journal: read header of %s: %w", path, err)
 	}
-	if [8]byte(hdr[:8]) != magic {
-		return nil, 0, fmt.Errorf("journal: %s is not a journal (bad magic)", path)
+	want := header()
+	m := min(n, len(magic))
+	if !bytes.Equal(hdr[:m], want[:m]) {
+		return nil, 0, fmt.Errorf("journal: %s: %w", path, errBadMagic)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != FormatVersion {
-		return nil, 0, fmt.Errorf("journal: %s has format version %d (want %d)", path, v, FormatVersion)
+	if !bytes.Equal(hdr[m:n], want[m:n]) {
+		return nil, 0, fmt.Errorf("journal: %s: %w (want %d)", path, errBadVersion, FormatVersion)
 	}
+	if n < headerLen {
+		rep.Truncated = int64(n)
+		return rep, 0, nil
+	}
+	r := newStateMachine()
 	off := int64(headerLen)
 	var frame [8]byte
 	for off < st.Size() {
@@ -323,7 +351,7 @@ func scan(f *os.File, path string) (*Replay, int64, error) {
 			break // checksummed garbage: treat as tail like any corruption
 		}
 		if err := r.apply(&rec); err != nil {
-			return nil, 0, fmt.Errorf("journal: %s record %d: %w", path, rep.Records, err)
+			return nil, 0, fmt.Errorf("journal: %s record %d: %w: %w", path, rep.Records, errBadRecord, err)
 		}
 		rep.Records++
 		off += int64(len(frame)) + int64(n)
@@ -456,9 +484,7 @@ func (j *Journal) Append(rec Record) (uint64, error) {
 			j.err = fmt.Errorf("journal: seek: %w", err)
 			return 0, j.err
 		} else if off == 0 {
-			var hdr [12]byte
-			copy(hdr[:], magic[:])
-			binary.LittleEndian.PutUint32(hdr[8:], FormatVersion)
+			hdr := header()
 			j.buf = append(j.buf, hdr[:]...)
 		}
 	}

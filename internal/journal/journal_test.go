@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -79,9 +80,11 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalTornTail: a crash mid-record (the tail sliced at every
-// possible byte offset) must replay every intact record, drop the torn
-// one with a warning count, and leave the file appendable.
+// TestJournalTornTail: a crash anywhere in the file (the tail sliced at
+// every byte offset, the 12-byte header included) must replay every
+// intact record, drop the torn bytes with a warning count, and leave the
+// file appendable. A cut inside the header replays as empty and is
+// truncated to zero, so the next append rewrites the header.
 func TestJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.wal")
@@ -100,20 +103,43 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for at := cut + 1; at < int64(len(whole)); at++ {
+	for at := int64(1); at < int64(len(whole)); at++ {
+		// good is the last intact boundary at or before the cut: nothing
+		// inside the header, the bare header inside record 1, and the end
+		// of record 1 from there on.
+		good, records := int64(0), int64(0)
+		switch {
+		case at >= cut:
+			good, records = cut, 1
+		case at >= int64(headerLen):
+			good = int64(headerLen)
+		}
 		path := filepath.Join(dir, "torn.wal")
 		if err := os.WriteFile(path, whole[:at], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		j2, rep := openT(t, path)
-		if rep.Records != 1 || rep.Truncated != at-cut {
-			t.Fatalf("cut at %d: %d records, %d truncated (want 1, %d)", at, rep.Records, rep.Truncated, at-cut)
+		if rep.Records != records || rep.Truncated != at-good {
+			t.Fatalf("cut at %d: %d records, %d truncated (want %d, %d)", at, rep.Records, rep.Truncated, records, at-good)
 		}
-		if len(rep.Jobs) != 1 || rep.Jobs[0].ID != 1 || rep.Jobs[0].Outcome != OutcomePending {
+		if records == 0 && len(rep.Jobs) != 0 {
+			t.Fatalf("cut at %d: jobs %+v from no intact record", at, rep.Jobs)
+		}
+		if records == 1 && (len(rep.Jobs) != 1 || rep.Jobs[0].ID != 1 || rep.Jobs[0].Outcome != OutcomePending) {
 			t.Fatalf("cut at %d: jobs %+v", at, rep.Jobs)
 		}
-		if got := size(t, path); got != cut {
-			t.Fatalf("cut at %d: torn tail not truncated: size %d, want %d", at, got, cut)
+		if got := size(t, path); got != good {
+			t.Fatalf("cut at %d: torn tail not truncated: size %d, want %d", at, got, good)
+		}
+		// Read-only replays see the same state and leave the file alone.
+		if err := os.WriteFile(filepath.Join(dir, "ro.wal"), whole[:at], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for name, replay := range map[string]func(string) (*Replay, error){"ReplayFile": ReplayFile, "AdoptSegment": AdoptSegment} {
+			ro, err := replay(filepath.Join(dir, "ro.wal"))
+			if err != nil || ro.Records != records || ro.Truncated != at-good {
+				t.Fatalf("cut at %d: %s = %+v, %v (want %d records, %d truncated)", at, name, ro, err, records, at-good)
+			}
 		}
 		// The truncated journal must accept and replay new appends.
 		seq := appendT(t, j2, Record{Op: OpCompleted, ID: 1, Finish: 3, Flowtime: 3})
@@ -122,7 +148,7 @@ func TestJournalTornTail(t *testing.T) {
 		}
 		j2.Close()
 		j3, rep2 := openT(t, path)
-		if rep2.Records != 2 || rep2.Jobs[0].Outcome != OutcomeCompleted {
+		if rep2.Records != records+1 || rep2.Truncated != 0 || rep2.Jobs[0].Outcome != OutcomeCompleted {
 			t.Fatalf("cut at %d: after repair+append: %+v", at, rep2)
 		}
 		// Release the lease: the next iteration rewrites this inode, and
@@ -162,26 +188,31 @@ func TestJournalCorruptPayload(t *testing.T) {
 }
 
 // TestJournalBadHeader: wrong magic or a future version is a hard
-// error — that is not a torn file, it is the wrong file.
+// error — that is not a torn file, it is the wrong file. A file shorter
+// than the header is only a torn header if its bytes are a prefix of a
+// valid one.
 func TestJournalBadHeader(t *testing.T) {
 	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.wal")
-	if err := os.WriteFile(bad, []byte("definitely not a journal"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(bad); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-
-	vers := filepath.Join(dir, "vers.wal")
 	hdr := make([]byte, 12)
 	copy(hdr, magic[:])
 	binary.LittleEndian.PutUint32(hdr[8:], FormatVersion+1)
-	if err := os.WriteFile(vers, hdr, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(vers); err == nil {
-		t.Fatal("future version accepted")
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"bad magic", []byte("definitely not a journal"), errBadMagic},
+		{"short bad magic", []byte("dolly!"), errBadMagic},
+		{"future version", hdr, errBadVersion},
+		{"short future version", hdr[:9], errBadVersion},
+	} {
+		path := filepath.Join(dir, "bad.wal")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(path); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Open error %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -1,4 +1,4 @@
-package service
+package service_test
 
 // HTTP tests for the edge-admission surface: the two distinct 429s
 // (queue_full vs admission_denied) with their Retry-After contract,
@@ -13,18 +13,8 @@ import (
 	"time"
 
 	"dollymp/internal/admission"
-	"dollymp/internal/cluster"
-	"dollymp/internal/resources"
+	"dollymp/internal/service"
 )
-
-// unstartedServer serves a service whose loop never runs, so queued
-// jobs stay queued and every admission decision is observable.
-func unstartedServer(t *testing.T, s *Service) *httptest.Server {
-	t.Helper()
-	srv := httptest.NewServer(s.Handler())
-	t.Cleanup(srv.Close)
-	return srv
-}
 
 // TestMuxForAllowSorted: the Allow header on a 405 is sorted by method
 // name no matter the registration order, so clients (and the SDK
@@ -33,7 +23,7 @@ func unstartedServer(t *testing.T, s *Service) *httptest.Server {
 func TestMuxForAllowSorted(t *testing.T) {
 	noop := func(w http.ResponseWriter, r *http.Request) {}
 	// Deliberately unsorted registration order.
-	srv := httptest.NewServer(MuxFor([]Route{
+	srv := httptest.NewServer(service.MuxFor([]service.Route{
 		{"POST", "/v1/thing", noop},
 		{"DELETE", "/v1/thing", noop},
 		{"GET", "/v1/thing", noop},
@@ -47,7 +37,7 @@ func TestMuxForAllowSorted(t *testing.T) {
 	if allow := resp.Header.Get("Allow"); allow != "DELETE, GET, POST" {
 		t.Fatalf("Allow %q, want %q", allow, "DELETE, GET, POST")
 	}
-	decodeEnvelope(t, resp, http.StatusMethodNotAllowed, CodeMethodNotAllowed)
+	decodeEnvelope(t, resp, http.StatusMethodNotAllowed, service.CodeMethodNotAllowed)
 }
 
 // TestSetRetryAfter: sub-second hints round up to 1 (the header's
@@ -66,7 +56,7 @@ func TestSetRetryAfter(t *testing.T) {
 		{2500 * time.Millisecond, "3"},
 	} {
 		w := httptest.NewRecorder()
-		SetRetryAfter(w, tc.d)
+		service.SetRetryAfter(w, tc.d)
 		if got := w.Header().Get("Retry-After"); got != tc.want {
 			t.Errorf("SetRetryAfter(%v): header %q, want %q", tc.d, got, tc.want)
 		}
@@ -77,7 +67,7 @@ func TestSetRetryAfter(t *testing.T) {
 // with both halves of the retry contract — the coarse Retry-After
 // header and the precise retry_after_ms in the envelope.
 func TestHTTPQueueFull429RetryAfter(t *testing.T) {
-	srv := unstartedServer(t, newTestService(t, 2))
+	srv := unstartedServer(t, newTestRouter(t, 2, nil))
 	body, _ := json.Marshal(testJob(1, 2))
 	for i := 0; i < 2; i++ {
 		if resp, out := postJSON(t, srv.URL+"/v1/jobs", body); resp.StatusCode != http.StatusAccepted {
@@ -91,15 +81,15 @@ func TestHTTPQueueFull429RetryAfter(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != "1" {
 		t.Fatalf("Retry-After %q, want \"1\"", got)
 	}
-	var er ErrorResponse
+	var er service.ErrorResponse
 	if err := json.Unmarshal(out, &er); err != nil {
 		t.Fatal(err)
 	}
-	if er.Error.Code != CodeQueueFull || er.Error.Reason != "" {
+	if er.Error.Code != service.CodeQueueFull || er.Error.Reason != "" {
 		t.Fatalf("envelope %+v, want code queue_full with no reason", er.Error)
 	}
-	if er.Error.RetryAfterMS != DefaultQueueFullRetry.Milliseconds() {
-		t.Fatalf("retry_after_ms %d, want %d", er.Error.RetryAfterMS, DefaultQueueFullRetry.Milliseconds())
+	if er.Error.RetryAfterMS != service.DefaultQueueFullRetry.Milliseconds() {
+		t.Fatalf("retry_after_ms %d, want %d", er.Error.RetryAfterMS, service.DefaultQueueFullRetry.Milliseconds())
 	}
 	if er.Rejected != 1 {
 		t.Fatalf("rejected %d, want 1", er.Rejected)
@@ -110,23 +100,14 @@ func TestHTTPQueueFull429RetryAfter(t *testing.T) {
 // status, distinct code, plus the policy's machine-readable reason and
 // its exact retry hint. A frozen clock makes the token bucket
 // deterministic: burst 1 admits exactly one job, the next is denied
-// with the full token-refill interval as the hint.
+// with the full token-refill interval as the hint. The policy sits on
+// the router, the deployment's one admission edge.
 func TestHTTPAdmissionDenied429(t *testing.T) {
 	frozen := time.Unix(1000, 0)
-	s, err := New(Config{
-		Cluster:       cluster.Uniform(8, resources.Cores(8, 16)),
-		Scheduler:     fifo{},
-		Seed:          1,
-		Deterministic: true,
-		QueueCap:      64,
-		Admission: admission.NewTokenBucket(admission.TokenBucketConfig{
-			Rate: 2, Burst: 1,
-			Now: func() time.Time { return frozen },
-		}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestRouter(t, 64, admission.NewTokenBucket(admission.TokenBucketConfig{
+		Rate: 2, Burst: 1,
+		Now: func() time.Time { return frozen },
+	}))
 	srv := unstartedServer(t, s)
 	body, _ := json.Marshal(testJob(1, 2))
 	if resp, out := postJSON(t, srv.URL+"/v1/jobs", body); resp.StatusCode != http.StatusAccepted {
@@ -139,12 +120,12 @@ func TestHTTPAdmissionDenied429(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != "1" {
 		t.Fatalf("Retry-After %q, want \"1\"", got)
 	}
-	var er ErrorResponse
+	var er service.ErrorResponse
 	if err := json.Unmarshal(out, &er); err != nil {
 		t.Fatal(err)
 	}
-	if er.Error.Code != CodeAdmissionDenied {
-		t.Fatalf("code %q, want %q", er.Error.Code, CodeAdmissionDenied)
+	if er.Error.Code != service.CodeAdmissionDenied {
+		t.Fatalf("code %q, want %q", er.Error.Code, service.CodeAdmissionDenied)
 	}
 	if er.Error.Reason != admission.ReasonRateLimited {
 		t.Fatalf("reason %q, want %q", er.Error.Reason, admission.ReasonRateLimited)
@@ -155,12 +136,12 @@ func TestHTTPAdmissionDenied429(t *testing.T) {
 	}
 
 	// The admission view accounts for both decisions.
-	resp, err = http.Get(srv.URL + "/v1/admission")
+	resp, err := http.Get(srv.URL + "/v1/admission")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st AdmissionStatus
+	var st service.AdmissionStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +157,7 @@ func TestHTTPAdmissionDenied429(t *testing.T) {
 // tenant's jobs, composing with pagination totals; an unknown tenant
 // matches nothing.
 func TestHTTPJobsTenantFilter(t *testing.T) {
-	srv := unstartedServer(t, newTestService(t, 16))
+	srv := unstartedServer(t, newTestRouter(t, 16, nil))
 	submit := func(tenant string) {
 		t.Helper()
 		j := testJob(1, 2)
@@ -190,7 +171,7 @@ func TestHTTPJobsTenantFilter(t *testing.T) {
 	submit("globex")
 	submit("acme")
 
-	list := func(query string) jobListResponse {
+	list := func(query string) service.JobListResponse {
 		t.Helper()
 		resp, err := http.Get(srv.URL + "/v1/jobs" + query)
 		if err != nil {
@@ -200,7 +181,7 @@ func TestHTTPJobsTenantFilter(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("list %s: %d", query, resp.StatusCode)
 		}
-		var out jobListResponse
+		var out service.JobListResponse
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}

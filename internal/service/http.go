@@ -2,12 +2,13 @@ package service
 
 // The HTTP surface of the daemon: stdlib net/http only, Go 1.22 pattern
 // routing. The whole /v1 surface lives in one route table (Routes) and
-// is served over the API interface, so the same handlers mount on a
-// single Service or on the sharded router without change. Request
-// bodies are strict — unknown fields and trailing JSON are 400s, a full
-// admission queue is a 429 — and every error response is the uniform
-// envelope {"error":{"code","message"}} so clients branch on machine-
-// readable codes, not status text.
+// is served over the API interface, which the sharded router implements;
+// a Service is one of the router's loops and serves no HTTP of its own.
+// The federation gateway serves its own table through the same mux and
+// envelopes. Request bodies are strict — unknown fields and trailing
+// JSON are 400s, a full admission queue is a 429 — and every error
+// response is the uniform envelope {"error":{"code","message"}} so
+// clients branch on machine-readable codes, not status text.
 
 import (
 	"encoding/json"
@@ -80,9 +81,11 @@ type ErrorResponse struct {
 	Rejected int              `json:"rejected,omitempty"`
 }
 
-// API is the lifecycle surface the HTTP layer serves. *Service
-// implements it over one scheduling loop; shard.Router implements it
-// over P loops. NewHandler mounts the same routes on either.
+// API is the lifecycle surface the HTTP layer serves. *shard.Router
+// implements it over P ≥ 1 scheduling loops and owns edge admission; a
+// Service is one loop the router drives and does not implement it.
+// NewHandler mounts the routes on any implementation, decorators (such
+// as a tracing wrapper around a router) included.
 type API interface {
 	// SubmitNowait enqueues one job with immediate backpressure
 	// (ErrQueueFull → 429, ErrStopped → 503).
@@ -110,9 +113,6 @@ type API interface {
 	// WriteMetrics renders the Prometheus exposition.
 	WriteMetrics(w io.Writer) error
 }
-
-// Compile-time check: the single-loop service is a complete API.
-var _ API = (*Service)(nil)
 
 // Route is one entry of the HTTP surface: method, Go 1.22 mux pattern,
 // and handler. Routes declares the shared /v1 table; callers with
@@ -201,9 +201,6 @@ func MuxFor(routes []Route) http.Handler {
 	})
 	return mux
 }
-
-// Handler returns this service's HTTP API (see Routes).
-func (s *Service) Handler() http.Handler { return NewHandler(s) }
 
 // submitResponse is the POST /v1/jobs success reply.
 type submitResponse struct {

@@ -1,4 +1,10 @@
-package service
+package service_test
+
+// The /v1 HTTP surface is served the way the daemon serves it: through
+// service.NewHandler over a P=1 shard.Router, the only service.API
+// implementation. A P=1 router is one scheduling loop on the whole
+// fleet, so these tests see exactly that loop's behaviour, plus the
+// shard="0" label the router stamps on every series.
 
 import (
 	"bytes"
@@ -11,23 +17,68 @@ import (
 	"testing"
 	"time"
 
+	"dollymp/internal/admission"
+	"dollymp/internal/cluster"
 	"dollymp/internal/metrics"
+	"dollymp/internal/resources"
+	"dollymp/internal/sched"
+	"dollymp/internal/service"
+	"dollymp/internal/shard"
 	"dollymp/internal/trace"
 	"dollymp/internal/workload"
 )
 
-func newTestServer(t *testing.T, queueCap int) (*Service, *httptest.Server) {
+var testJob = service.TestJob
+
+// newTestRouter builds a stopped P=1 router over the in-package tests'
+// fleet and fifo policy, with an optional edge-admission policy.
+func newTestRouter(t *testing.T, queueCap int, adm admission.Policy) *shard.Router {
 	t.Helper()
-	s := newTestService(t, queueCap)
-	s.Start()
-	srv := httptest.NewServer(s.Handler())
+	r, err := shard.New(shard.Config{
+		Fleet:         cluster.Uniform(8, resources.Cores(8, 16)),
+		Shards:        1,
+		NewScheduler:  func(int) (sched.Scheduler, error) { return service.FIFO{}, nil },
+		Seed:          1,
+		Deterministic: true,
+		QueueCap:      queueCap,
+		Admission:     adm,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func stopDrained(t *testing.T, r *shard.Router) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := r.Stop(ctx); err != nil {
+		t.Fatalf("stop: %v", err)
+	}
+}
+
+// unstartedServer serves a router whose loop never runs, so queued
+// jobs stay queued and every admission decision is observable.
+func unstartedServer(t *testing.T, r *shard.Router) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(service.NewHandler(r))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+func newTestServer(t *testing.T, queueCap int) (*shard.Router, *httptest.Server) {
+	t.Helper()
+	r := newTestRouter(t, queueCap, nil)
+	r.Start()
+	srv := httptest.NewServer(service.NewHandler(r))
 	t.Cleanup(srv.Close)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		_ = s.Stop(ctx)
+		_ = r.Stop(ctx)
 	})
-	return s, srv
+	return r, srv
 }
 
 func postJSON(t *testing.T, url string, body []byte) (*http.Response, []byte) {
@@ -65,12 +116,12 @@ func TestHTTPSubmitSingleJob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var info JobInfo
+		var info service.JobInfo
 		if err := json.NewDecoder(r.Body).Decode(&info); err != nil {
 			t.Fatal(err)
 		}
 		r.Body.Close()
-		if info.State == StateCompleted {
+		if info.State == service.StateCompleted {
 			if info.Flowtime < 0 {
 				t.Fatalf("completed without JCT: %+v", info)
 			}
@@ -124,10 +175,10 @@ func TestHTTPRejectsMalformedBodies(t *testing.T) {
 }
 
 func TestHTTPBackpressure429(t *testing.T) {
-	// Unstarted service: the queue never drains, so cap 2 overflows on
+	// Unstarted router: the queue never drains, so cap 2 overflows on
 	// the third submission.
-	s := newTestService(t, 2)
-	srv := httptest.NewServer(s.Handler())
+	s := newTestRouter(t, 2, nil)
+	srv := httptest.NewServer(service.NewHandler(s))
 	defer srv.Close()
 	body, _ := json.Marshal(testJob(1, 2))
 	for i := 0; i < 2; i++ {
@@ -140,8 +191,8 @@ func TestHTTPBackpressure429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d (%s), want 429", resp.StatusCode, out)
 	}
-	var er ErrorResponse
-	if err := json.Unmarshal(out, &er); err != nil || er.Rejected != 1 || er.Error.Code != CodeQueueFull {
+	var er service.ErrorResponse
+	if err := json.Unmarshal(out, &er); err != nil || er.Rejected != 1 || er.Error.Code != service.CodeQueueFull {
 		t.Fatalf("429 body %s", out)
 	}
 	s.Start()
@@ -173,7 +224,7 @@ func TestHTTPClusterSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var snap ClusterSnapshot
+	var snap service.ClusterSnapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +245,7 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 	}
 
 	// Submit a few jobs, then certify /metrics parses and its counters
-	// agree with the service accounting.
+	// agree with the router's accounting.
 	body, _ := json.Marshal(testJob(1, 2))
 	for i := 0; i < 5; i++ {
 		if resp, out := postJSON(t, srv.URL+"/v1/jobs", body); resp.StatusCode != http.StatusAccepted {
@@ -220,21 +271,21 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metrics output invalid: %v", err)
 	}
-	if got := samples["dollymp_jobs_submitted_total"].Value; got != 5 {
+	if got := samples[`dollymp_jobs_submitted_total{shard="0"}`].Value; got != 5 {
 		t.Errorf("submitted_total %v", got)
 	}
-	if got := samples["dollymp_jobs_completed_total"].Value; got != 5 {
+	if got := samples[`dollymp_jobs_completed_total{shard="0"}`].Value; got != 5 {
 		t.Errorf("completed_total %v", got)
 	}
-	if got := samples["dollymp_job_completion_slots_count"].Value; got != 5 {
+	if got := samples[`dollymp_job_completion_slots_count{shard="0"}`].Value; got != 5 {
 		t.Errorf("JCT histogram count %v", got)
 	}
 }
 
 func TestHTTPHealthDrainingAndFailed(t *testing.T) {
-	s := newTestService(t, 8)
+	s := newTestRouter(t, 8, nil)
 	s.Start()
-	srv := httptest.NewServer(s.Handler())
+	srv := httptest.NewServer(service.NewHandler(s))
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -1,4 +1,4 @@
-package service
+package service_test
 
 // Tests for the redesigned /v1 surface: the uniform error envelope,
 // list pagination, and the per-shard status endpoint.
@@ -9,17 +9,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"dollymp/internal/service"
 )
 
 // decodeEnvelope asserts a response is envelope-shaped with the given
 // status and code.
-func decodeEnvelope(t *testing.T, resp *http.Response, wantStatus int, wantCode string) ErrorResponse {
+func decodeEnvelope(t *testing.T, resp *http.Response, wantStatus int, wantCode string) service.ErrorResponse {
 	t.Helper()
 	defer resp.Body.Close()
 	if resp.StatusCode != wantStatus {
 		t.Fatalf("status %d, want %d", resp.StatusCode, wantStatus)
 	}
-	var er ErrorResponse
+	var er service.ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
 		t.Fatalf("response not envelope-shaped: %v", err)
 	}
@@ -43,8 +45,8 @@ func TestHTTPErrorEnvelopeShape(t *testing.T) {
 		return resp
 	}
 	// Unknown paths hit the catch-all envelope.
-	decodeEnvelope(t, get("/v2/nope"), http.StatusNotFound, CodeNotFound)
-	decodeEnvelope(t, get("/"), http.StatusNotFound, CodeNotFound)
+	decodeEnvelope(t, get("/v2/nope"), http.StatusNotFound, service.CodeNotFound)
+	decodeEnvelope(t, get("/"), http.StatusNotFound, service.CodeNotFound)
 	// A known path with an unhandled method is an envelope-shaped 405
 	// carrying the allowed methods — not the mux's plain-text fallback.
 	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/jobs", nil)
@@ -55,27 +57,27 @@ func TestHTTPErrorEnvelopeShape(t *testing.T) {
 	if allow := resp.Header.Get("Allow"); allow == "" {
 		t.Fatal("405 without an Allow header")
 	}
-	decodeEnvelope(t, resp, http.StatusMethodNotAllowed, CodeMethodNotAllowed)
+	decodeEnvelope(t, resp, http.StatusMethodNotAllowed, service.CodeMethodNotAllowed)
 	// Missing job vs malformed ID distinguish not_found from
 	// invalid_argument.
-	decodeEnvelope(t, get("/v1/jobs/999999"), http.StatusNotFound, CodeNotFound)
-	decodeEnvelope(t, get("/v1/jobs/abc"), http.StatusBadRequest, CodeInvalidArgument)
+	decodeEnvelope(t, get("/v1/jobs/999999"), http.StatusNotFound, service.CodeNotFound)
+	decodeEnvelope(t, get("/v1/jobs/abc"), http.StatusBadRequest, service.CodeInvalidArgument)
 	// Malformed body carries the envelope too.
 	presp, out := postJSON(t, srv.URL+"/v1/jobs", []byte("nope"))
 	if presp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad body: %d", presp.StatusCode)
 	}
-	var er ErrorResponse
-	if err := json.Unmarshal(out, &er); err != nil || er.Error.Code != CodeInvalidArgument {
+	var er service.ErrorResponse
+	if err := json.Unmarshal(out, &er); err != nil || er.Error.Code != service.CodeInvalidArgument {
 		t.Fatalf("bad-body envelope %s: %v", out, err)
 	}
 }
 
 func TestHTTPListJobsPagination(t *testing.T) {
-	// Unstarted service: all jobs stay queued, so the listing is
+	// Unstarted router: all jobs stay queued, so the listing is
 	// deterministic.
-	s := newTestService(t, 16)
-	srv := httptest.NewServer(s.Handler())
+	s := newTestRouter(t, 16, nil)
+	srv := httptest.NewServer(service.NewHandler(s))
 	defer srv.Close()
 	var ids []int64
 	for i := 0; i < 5; i++ {
@@ -86,7 +88,7 @@ func TestHTTPListJobsPagination(t *testing.T) {
 		ids = append(ids, int64(id))
 	}
 
-	list := func(query string) jobListResponse {
+	list := func(query string) service.JobListResponse {
 		t.Helper()
 		resp, err := http.Get(srv.URL + "/v1/jobs" + query)
 		if err != nil {
@@ -96,7 +98,7 @@ func TestHTTPListJobsPagination(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", query, resp.StatusCode)
 		}
-		var lr jobListResponse
+		var lr service.JobListResponse
 		if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
 			t.Fatal(err)
 		}
@@ -104,14 +106,14 @@ func TestHTTPListJobsPagination(t *testing.T) {
 	}
 
 	full := list("")
-	if full.Total != 5 || len(full.Jobs) != 5 || full.Limit != DefaultJobsLimit || full.Offset != 0 {
+	if full.Total != 5 || len(full.Jobs) != 5 || full.Limit != service.DefaultJobsLimit || full.Offset != 0 {
 		t.Fatalf("full listing: total %d, %d jobs, limit %d", full.Total, len(full.Jobs), full.Limit)
 	}
 	for i, j := range full.Jobs {
 		if int64(j.ID) != ids[i] {
 			t.Fatalf("listing order: job %d has ID %d, want %d", i, j.ID, ids[i])
 		}
-		if j.State != StateQueued {
+		if j.State != service.StateQueued {
 			t.Fatalf("job %d state %s", j.ID, j.State)
 		}
 	}
@@ -136,7 +138,7 @@ func TestHTTPListJobsPagination(t *testing.T) {
 		t.Fatalf("queued filter: %+v", q)
 	}
 	// Limit above the cap is clamped, not rejected.
-	if big := list(fmt.Sprintf("?limit=%d", MaxJobsLimit*10)); big.Limit != MaxJobsLimit {
+	if big := list(fmt.Sprintf("?limit=%d", service.MaxJobsLimit*10)); big.Limit != service.MaxJobsLimit {
 		t.Fatalf("limit not clamped: %+v", big)
 	}
 
@@ -146,7 +148,7 @@ func TestHTTPListJobsPagination(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		decodeEnvelope(t, resp, http.StatusBadRequest, CodeInvalidArgument)
+		decodeEnvelope(t, resp, http.StatusBadRequest, service.CodeInvalidArgument)
 	}
 }
 
@@ -163,12 +165,12 @@ func TestHTTPShardsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var sr shardsResponse
+	var sr service.ShardsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
 	if len(sr.Shards) != 1 {
-		t.Fatalf("unsharded service reports %d shards", len(sr.Shards))
+		t.Fatalf("P=1 router reports %d shards", len(sr.Shards))
 	}
 	st := sr.Shards[0]
 	if st.Shard != 0 || st.Draining {

@@ -1,4 +1,4 @@
-package service
+package service_test
 
 // Tests for the readiness surface: /readyz must be 503 not_ready before
 // Start, 200 while serving, and 503 draining after Stop — distinct from
@@ -8,11 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"dollymp/internal/service"
 )
 
 func TestReadyzLifecycle(t *testing.T) {
-	s := newTestService(t, 8)
-	srv := httptest.NewServer(s.Handler())
+	s := newTestRouter(t, 8, nil)
+	srv := httptest.NewServer(service.NewHandler(s))
 	defer srv.Close()
 	get := func() *http.Response {
 		t.Helper()
@@ -25,7 +27,7 @@ func TestReadyzLifecycle(t *testing.T) {
 
 	// Before Start: alive but not ready — the window a federated member
 	// sits in while its journal replay runs.
-	decodeEnvelope(t, get(), http.StatusServiceUnavailable, CodeNotReady)
+	decodeEnvelope(t, get(), http.StatusServiceUnavailable, service.CodeNotReady)
 	if s.Ready() {
 		t.Fatal("Ready before Start")
 	}
@@ -41,7 +43,7 @@ func TestReadyzLifecycle(t *testing.T) {
 	}
 
 	stopDrained(t, s)
-	decodeEnvelope(t, get(), http.StatusServiceUnavailable, CodeDraining)
+	decodeEnvelope(t, get(), http.StatusServiceUnavailable, service.CodeDraining)
 	if s.Ready() {
 		t.Fatal("Ready while draining")
 	}

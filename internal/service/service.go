@@ -1,11 +1,17 @@
-// Package service turns the batch simulator into a long-running online
-// scheduling daemon: jobs are submitted while the cluster runs, enter a
-// bounded admission queue, and are injected into the engine at the next
+// Package service is the per-shard scheduling loop of the online
+// daemon: jobs submitted while the cluster runs enter a bounded
+// admission queue and are injected into the engine at the next
 // virtual-slot boundary. The engine — single-use and goroutine-confined
 // by contract — is owned by exactly one scheduling-loop goroutine; every
-// other goroutine (HTTP handlers, submitters) communicates through the
-// admission channel and reads immutable snapshots, so the service is
-// safe under arbitrary concurrent submission without locking the engine.
+// other goroutine (the router, submitters) communicates through the
+// admission channel and reads immutable snapshots, so the loop is safe
+// under arbitrary concurrent submission without locking the engine.
+//
+// A Service is always one shard behind shard.Router, which is the only
+// API implementation, the edge-admission point and the HTTP mount (a
+// P=1 router is the unsharded daemon). This package also holds what the
+// router serves: the API interface, the /v1 route table (Routes,
+// NewHandler, MuxFor) and the status and error types.
 //
 // Job lifecycle: queued (accepted into the admission queue) → admitted
 // (injected into the engine, arrival slot stamped) → running (first copy
@@ -14,7 +20,6 @@
 // backpressure, not silent dropping; Submit instead waits for space
 // until its context expires.
 //
-// A Service is also one shard of a sharded deployment (internal/shard):
 // Config.Registry/MetricLabels let the router collect every shard's
 // series in one view, and Config.IDBase/IDStride carve the job-ID space
 // into disjoint residue classes so IDs stay globally unique without
@@ -34,7 +39,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -133,19 +137,6 @@ type Config struct {
 	// the durability contract is broken, and failing loudly beats
 	// acknowledging submissions it can no longer promise to keep.
 	Journal *journal.Journal
-
-	// Admission, when non-nil, is consulted before a submission may
-	// enter the queue: a denial is returned as *AdmissionError (HTTP
-	// 429 admission_denied) without assigning an ID or touching the
-	// queue. Only external submissions are policed: the policy runs in
-	// Submit/SubmitNowait ahead of enqueueLocked, the one enqueue
-	// primitive, while the donation and replay paths (InjectQueued/
-	// ForceRequeue/Restore/Absorb) reach it without the policy — they
-	// move work that was already admitted somewhere. In a sharded
-	// deployment the router owns the policy instead, so a
-	// deployment-wide decision is charged once, not once per spill
-	// attempt; set this only on a directly-driven service.
-	Admission admission.Policy
 }
 
 // DefaultQueueCap is the admission-queue bound when Config.QueueCap is 0.
@@ -209,7 +200,8 @@ type Counts struct {
 	Rejected  int64 `json:"rejected"`
 	// Denied counts submissions refused by the edge admission policy
 	// (never assigned an ID); Rejected counts queue-full backpressure.
-	// omitempty keeps policy-less deployments' JSON unchanged.
+	// Only the router sets it — a loop has no policy — and omitempty
+	// keeps policy-less deployments' JSON unchanged.
 	Denied int64 `json:"denied,omitempty"`
 }
 
@@ -329,8 +321,9 @@ type ClusterSnapshot struct {
 	Journal *JournalStatus `json:"journal,omitempty"`
 }
 
-// Service is the online scheduling daemon core. Create with New, start
-// with Start, submit with Submit or SubmitNowait, stop with Stop.
+// Service is one shard's scheduling loop. Create with New, start with
+// Start, submit with Submit or SubmitNowait, stop with Stop; in a
+// deployment shard.Router does all four.
 type Service struct {
 	cfg   Config
 	eng   *sim.Engine
@@ -359,16 +352,12 @@ type Service struct {
 	mAdmitted  *metrics.Counter
 	mCompleted *metrics.Counter
 	mRejected  *metrics.Counter
-	// mDenied is nil unless cfg.Admission is set (registering it
-	// unconditionally would change the exposition of policy-less
-	// deployments); only the admission-deny path increments it.
-	mDenied  *metrics.Counter
-	mQueue   *metrics.Gauge
-	mActive  *metrics.Gauge
-	mClock   *metrics.Gauge
-	mUtilCPU *metrics.Gauge
-	mUtilMem *metrics.Gauge
-	mJCT     *metrics.Histogram
+	mQueue     *metrics.Gauge
+	mActive    *metrics.Gauge
+	mClock     *metrics.Gauge
+	mUtilCPU   *metrics.Gauge
+	mUtilMem   *metrics.Gauge
+	mJCT       *metrics.Histogram
 
 	// Journal metrics; nil when cfg.Journal is nil (registering them
 	// unconditionally would change the exposition of an unjournaled
@@ -402,8 +391,10 @@ func New(cfg Config) (*Service, error) {
 		cfg.Registry = metrics.NewRegistry()
 	}
 	s := &Service{
-		cfg:     cfg,
-		subCh:   make(chan *workload.Job, cfg.QueueCap),
+		cfg: cfg,
+		// Twice QueueCap: enqueues stop at QueueCap, and the space above
+		// it is the reserve ForceRequeue gives stolen jobs back into.
+		subCh:   make(chan *workload.Job, 2*cfg.QueueCap),
 		stopCh:  make(chan struct{}),
 		doneCh:  make(chan struct{}),
 		jobs:    make(map[workload.JobID]*JobInfo),
@@ -428,9 +419,6 @@ func New(cfg Config) (*Service, error) {
 		s.jnlStat.Enabled = true
 		s.mJnlRecords = s.reg.Counter("dollymp_journal_records_total", "Journal records appended by this process.", lbl(nil))
 		s.mJnlReplayed = s.reg.Gauge("dollymp_journal_replayed_jobs", "Jobs restored from the journal at startup.", lbl(nil))
-	}
-	if cfg.Admission != nil {
-		s.mDenied = s.reg.Counter("dollymp_jobs_denied_total", "Submissions denied by the edge admission policy.", lbl(nil))
 	}
 
 	eng, err := sim.New(sim.Config{
@@ -458,21 +446,10 @@ func (s *Service) Start() {
 	}
 }
 
-// Metrics returns the service's metric registry (for /metrics). When a
-// registry was injected via Config.Registry this is that registry.
-func (s *Service) Metrics() *metrics.Registry { return s.reg }
-
 // RefreshGauges re-publishes gauges that drift between loop publishes
 // (today: queue depth). Called at scrape time so an idle engine never
 // serves a stale gauge.
 func (s *Service) RefreshGauges() { s.mQueue.Set(float64(len(s.subCh))) }
-
-// WriteMetrics renders the service's registry as Prometheus text. Part
-// of the API interface shared with the shard router.
-func (s *Service) WriteMetrics(w io.Writer) error {
-	s.RefreshGauges()
-	return s.reg.Write(w)
-}
 
 // Submit validates a job and enqueues it, waiting for queue space if the
 // admission queue is full: the cancellable-queue-wait entry point. It
@@ -480,7 +457,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 // drain begins. Use SubmitNowait for immediate-backpressure (429)
 // semantics.
 func (s *Service) Submit(ctx context.Context, j *workload.Job) (workload.JobID, error) {
-	if err := s.precheck(ctx, j); err != nil {
+	if err := precheck(j); err != nil {
 		return 0, err
 	}
 	for {
@@ -511,34 +488,21 @@ func (s *Service) Submit(ctx context.Context, j *workload.Job) (workload.JobID, 
 // enqueue happen under one critical section, so a job accepted here is
 // always seen by the drain — Stop never strands an accepted job.
 func (s *Service) SubmitNowait(j *workload.Job) (workload.JobID, error) {
-	if err := s.precheck(context.Background(), j); err != nil {
+	if err := precheck(j); err != nil {
 		return 0, err
 	}
 	return s.submit(j, true)
 }
 
-// precheck runs the validations that precede any queue interaction:
-// structural job validation, then the admission policy. The policy is
-// charged exactly once per external submission attempt — Submit's
-// queue-space retry loop below calls submit directly, so waiting out a
-// full queue does not burn extra admission budget.
-func (s *Service) precheck(ctx context.Context, j *workload.Job) error {
+// precheck is the structural validation that precedes any queue
+// interaction. Edge admission is not the loop's business: the router
+// polices external submissions once, before it picks a shard.
+func precheck(j *workload.Job) error {
 	if j == nil {
 		return fmt.Errorf("service: nil job")
 	}
 	if err := j.Validate(); err != nil {
 		return fmt.Errorf("service: %w", err)
-	}
-	p := s.cfg.Admission
-	if p == nil {
-		return nil
-	}
-	if d := p.Admit(ctx, j, s.AdmissionSnapshot()); !d.Admit {
-		s.mu.Lock()
-		s.counts.Denied++
-		s.mDenied.Inc()
-		s.mu.Unlock()
-		return &AdmissionError{Reason: d.Reason, RetryAfter: d.RetryAfter}
 	}
 	return nil
 }
@@ -555,7 +519,7 @@ func (s *Service) submit(j *workload.Job, countReject bool) (workload.JobID, err
 	}
 	id := s.nextID
 	j.ID = id
-	seq, err := s.enqueueLocked(j, journal.OpSubmitted)
+	seq, err := s.enqueueLocked(j, journal.OpSubmitted, false)
 	switch {
 	case err == nil:
 		s.nextID += workload.JobID(s.cfg.IDStride)
@@ -590,15 +554,20 @@ func (s *Service) submit(j *workload.Job, countReject bool) (workload.JobID, err
 
 // enqueueLocked is the one way a job enters the admission queue; every
 // entry point wraps it with its own policy. The caller holds mu and j
-// carries its final ID. A full queue returns ErrQueueFull. Otherwise
+// carries its final ID. A queue holding QueueCap jobs — or, with
+// reserve, the channel's whole capacity — returns ErrQueueFull. Otherwise
 // the op record with the full spec is appended (and so marshaled)
 // BEFORE the send, because the send hands j to the loop, which rewrites
 // its arrival outside mu. A failed append returns with nothing
 // registered or sent; the caller fails the service after releasing mu.
 // The job is registered before the send, since the loop may admit it
 // immediately. The record is durable only after the caller commits seq.
-func (s *Service) enqueueLocked(j *workload.Job, op journal.Op) (seq uint64, err error) {
-	if len(s.subCh) == cap(s.subCh) {
+func (s *Service) enqueueLocked(j *workload.Job, op journal.Op, reserve bool) (seq uint64, err error) {
+	limit := s.cfg.QueueCap
+	if reserve {
+		limit = cap(s.subCh)
+	}
+	if len(s.subCh) >= limit {
 		return 0, ErrQueueFull
 	}
 	j.Arrival = 0 // clamped to the live clock at injection
@@ -675,9 +644,12 @@ func (s *Service) journalLocked(rec journal.Record) (seq uint64, err error) {
 // own loop is already committed to finishing the queue.
 //
 // The caller (the shard rebalancer) takes ownership of the returned
-// jobs and must re-home every one of them via InjectQueued; the jobs
-// keep their assigned IDs.
+// jobs and must re-home every one of them via InjectQueued or, as a
+// last resort, ForceRequeue; the jobs keep their assigned IDs. At most
+// QueueCap jobs are handed out, which is what ForceRequeue's reserve
+// holds.
 func (s *Service) StealQueued(max int) []*workload.Job {
+	max = min(max, s.cfg.QueueCap)
 	if max <= 0 {
 		return nil
 	}
@@ -750,7 +722,7 @@ func (s *Service) InjectQueued(jobs []*workload.Job) int {
 		// The injected record carries the full spec so this shard's
 		// segment replays alone; durability rides the next fsync —
 		// replay dedupes against the donor's segment either way.
-		if _, err := s.enqueueLocked(j, journal.OpInjected); err != nil {
+		if _, err := s.enqueueLocked(j, journal.OpInjected, false); err != nil {
 			if !errors.Is(err, ErrQueueFull) {
 				jerr = err
 			}
@@ -760,25 +732,27 @@ func (s *Service) InjectQueued(jobs []*workload.Job) int {
 	return len(jobs)
 }
 
-// ForceRequeue puts stolen jobs back even on a draining service — the
-// last-resort leg of a migration whose every candidate target started
-// draining mid-flight. The router's Stop quiesces the rebalancer before
-// any shard drains, so this path is unreachable in the router
-// lifecycle; it exists so a direct per-shard Stop racing a migration
-// surfaces loudly instead of silently dropping accepted jobs: a job
-// that cannot be requeued (queue refilled, journal append failed, or
-// the loop already took its drain-exit decision) fails the service. A
-// draining-but-running loop still finishes its queue, so requeued jobs
-// complete; the loop-exit decision and this enqueue share mu, so the
-// loop either sees the refilled queue and keeps draining or had already
-// exited and the requeue is refused.
+// ForceRequeue puts jobs stolen from this service back — the
+// last-resort leg of a migration no shard could take, the victim
+// included: the targets filled or started draining mid-flight, and
+// submitters woken by the steal refilled the space it freed. The jobs
+// go into the queue's reserve above QueueCap, even on a draining
+// service; one migration's steal (at most QueueCap jobs) always fits,
+// and the router runs one migration at a time. A job that still cannot
+// be requeued (journal append failed, or the loop already took its
+// drain-exit decision — unreachable under the router, whose Stop
+// quiesces the rebalancer first) fails the service loudly instead of
+// being silently dropped. A draining-but-running loop still finishes
+// its queue, so requeued jobs complete; the loop-exit decision and this
+// enqueue share mu, so the loop either sees the refilled queue and
+// keeps draining or had already exited and the requeue is refused.
 func (s *Service) ForceRequeue(jobs []*workload.Job) {
 	s.mu.Lock()
 	var stranded []workload.JobID
 	var jerr error
 	for _, j := range jobs {
 		if !s.loopExited {
-			_, err := s.enqueueLocked(j, journal.OpInjected)
+			_, err := s.enqueueLocked(j, journal.OpInjected, true)
 			if err == nil {
 				continue
 			}
@@ -834,12 +808,12 @@ func (s *Service) Restore(jobs []*journal.ReplayJob, records, truncated int64) e
 			return fmt.Errorf("service: replayed job %d has no spec", rj.ID)
 		}
 		rj.Job.ID = rj.ID
-		sq, err := s.enqueueLocked(rj.Job, journal.OpInjected)
+		sq, err := s.enqueueLocked(rj.Job, journal.OpInjected, false)
 		if err != nil {
 			s.mu.Unlock()
 			if errors.Is(err, ErrQueueFull) {
 				return fmt.Errorf("service: replayed backlog exceeds queue capacity %d at job %d (restart with a larger queue)",
-					cap(s.subCh), rj.ID)
+					s.cfg.QueueCap, rj.ID)
 			}
 			return err
 		}
@@ -886,7 +860,7 @@ func (s *Service) Absorb(jobs []*journal.ReplayJob) (int, error) {
 		s.mu.Unlock()
 		return 0, ErrStopped
 	}
-	free := cap(s.subCh) - len(s.subCh)
+	free := s.cfg.QueueCap - len(s.subCh)
 	need := 0
 	for _, rj := range jobs {
 		if rj.ID < 1 {
@@ -927,7 +901,7 @@ func (s *Service) Absorb(jobs []*journal.ReplayJob) (int, error) {
 		} else {
 			rj.Job.ID = rj.ID
 			// Pre-checked against free space above.
-			if seq, err = s.enqueueLocked(rj.Job, journal.OpInjected); err == nil {
+			if seq, err = s.enqueueLocked(rj.Job, journal.OpInjected, false); err == nil {
 				s.mSubmitted.Inc()
 				pending++
 			}
@@ -1020,16 +994,16 @@ func (s *Service) Load() Load {
 	}
 }
 
-// AdmissionSnapshot implements admission.SnapshotProvider: the pressure
-// view fed to the edge policy at decision time. Queue depth, cap, and
-// the loop's last published engine state are read under one critical
-// section.
+// AdmissionSnapshot implements admission.SnapshotProvider: this shard's
+// pressure, which the router sums into the deployment view its edge
+// policy decides on. Queue depth, cap, and the loop's last published
+// engine state are read under one critical section.
 func (s *Service) AdmissionSnapshot() admission.Snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return admission.Snapshot{
 		QueueDepth:      len(s.subCh),
-		QueueCap:        cap(s.subCh),
+		QueueCap:        s.cfg.QueueCap,
 		ActiveJobs:      s.snap.ActiveJobs,
 		Clock:           s.clock,
 		PendingArrivals: s.snap.PendingArrival,
@@ -1089,21 +1063,6 @@ func (a *AdmissionStatus) Add(other AdmissionStatus) {
 	}
 }
 
-// Admission returns the edge-admission view for /v1/admission. Part of
-// the API interface shared with the shard router and the gateway.
-func (s *Service) Admission() AdmissionStatus {
-	st := AdmissionStatus{Policy: "none"}
-	if p := s.cfg.Admission; p != nil {
-		stats := p.Stats()
-		st.Policy = p.Name()
-		st.Stats = &stats
-	}
-	s.mu.RLock()
-	st.Denied = s.counts.Denied
-	s.mu.RUnlock()
-	return st
-}
-
 // Draining reports whether a drain has begun (Stop called or the loop
 // failed). Exposed so the router and health checks see shard state
 // without building a full snapshot.
@@ -1116,8 +1075,8 @@ func (s *Service) Draining() bool {
 // Ready reports whether the service is fully serving: the scheduling
 // loop has been started and neither a drain nor a terminal error has
 // begun. Restore runs before Start, so a journaled restart is not ready
-// until its replay is finished and re-journaled. Part of the API
-// interface (/readyz).
+// until its replay is finished and re-journaled. The router's Ready
+// (/readyz) requires it of every shard.
 func (s *Service) Ready() bool {
 	if !s.started.Load() {
 		return false
@@ -1143,10 +1102,6 @@ func (s *Service) Status() ShardStatus {
 		ReplayedJobs: s.jnlStat.ReplayedJobs,
 	}
 }
-
-// Shards returns the single-loop view of /v1/shards: one entry. Part of
-// the API interface shared with the shard router.
-func (s *Service) Shards() []ShardStatus { return []ShardStatus{s.Status()} }
 
 // Snapshot returns the most recent cluster/queue snapshot. The queue
 // depth, counts, and draining flag are read live under one critical

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -205,5 +206,59 @@ func TestForceRequeueFailsLoudlyAfterExit(t *testing.T) {
 	}
 	if _, ok := s.Job(99); ok {
 		t.Fatal("stranded job left registered")
+	}
+}
+
+// TestForceRequeueIntoReserve: the race a migration loses when every
+// queue refills between its steal and its give-back. Submitters retake
+// the space the steal freed, so InjectQueued refuses the stolen jobs;
+// ForceRequeue must still put them back (into the reserve above
+// QueueCap) without failing the service, fresh submissions must still
+// see a full queue, and every job must complete. A steal hands out at
+// most QueueCap jobs, so even the largest one fits back.
+func TestForceRequeueIntoReserve(t *testing.T) {
+	const queueCap = 4
+	s := newTestService(t, queueCap) // not started: jobs stay queued
+	fill := func() {
+		t.Helper()
+		for s.Load().QueueDepth < queueCap {
+			if _, err := s.SubmitNowait(testJob(1, 2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill()
+	stolen := s.StealQueued(2)
+	fill()
+	if n := s.InjectQueued(stolen); n != 0 {
+		t.Fatalf("full victim accepted %d stolen jobs", n)
+	}
+	s.ForceRequeue(stolen)
+	if err := s.Err(); err != nil {
+		t.Fatalf("requeue into the reserve failed the service: %v", err)
+	}
+	if d := s.Load().QueueDepth; d != queueCap+2 {
+		t.Fatalf("queue depth %d after requeue, want %d", d, queueCap+2)
+	}
+	for _, j := range stolen {
+		if _, ok := s.Job(j.ID); !ok {
+			t.Fatalf("requeued job %d not registered", j.ID)
+		}
+	}
+	if _, err := s.SubmitNowait(testJob(1, 2)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submission into the reserve: %v, want ErrQueueFull", err)
+	}
+	more := s.StealQueued(100)
+	if len(more) != queueCap {
+		t.Fatalf("stole %d jobs, want at most QueueCap = %d", len(more), queueCap)
+	}
+	s.ForceRequeue(more)
+	if err := s.Err(); err != nil {
+		t.Fatalf("requeue of a QueueCap-sized steal failed the service: %v", err)
+	}
+	s.Start()
+	stopDrained(t, s)
+	if c := s.Counts(); c.Completed != c.Submitted || c.Submitted != queueCap+2 {
+		t.Fatalf("requeued jobs stranded: %+v", c)
 	}
 }

@@ -4,14 +4,16 @@
 // service.Service scheduling loop, so submission handling and engine
 // stepping scale with cores instead of serializing on a single loop —
 // the decomposition studied for parallel task packing under placement
-// constraints (Shafiee & Ghaderi, arXiv:2004.00518).
+// constraints (Shafiee & Ghaderi, arXiv:2004.00518). The Router in
+// front is the daemon's only service.API implementation, its
+// edge-admission point and what the HTTP surface mounts on.
 //
 // The Router places each incoming job by power-of-two-choices: sample
 // two distinct shards, compare their (queue depth, outstanding task
 // volume) loads, send the job to the lighter one. Load-aware two-choice
 // routing keeps the per-partition queues balanced without global state;
 // RouteSingle pins everything to shard 0 for reproducible tests — a
-// P=1 router is then bit-for-bit identical to an unsharded service.
+// P=1 router is then bit-for-bit identical to a lone scheduling loop.
 //
 // Job IDs stay globally unique without cross-shard coordination: shard
 // k allocates IDs k+1, k+1+P, k+1+2P, ... (service.Config.IDBase/
@@ -130,8 +132,8 @@ type Config struct {
 	// policy is charged once per SubmitNowait/Submit call; the router's
 	// internal spill-and-retry over shards, the rebalancer, and journal
 	// replay all bypass it (that work was admitted already). The shard
-	// services themselves are built without a policy, so the snapshot
-	// the policy sees is the deployment-wide sum.
+	// loops have no policy of their own; the snapshot the policy sees is
+	// the deployment-wide sum of theirs.
 	Admission admission.Policy
 }
 
@@ -203,8 +205,7 @@ type Router struct {
 	stealDone chan struct{}
 }
 
-// Compile-time check: the router serves the same HTTP surface as a
-// single service.
+// Compile-time check: the router is the service.API implementation.
 var _ service.API = (*Router)(nil)
 
 // New partitions the fleet and builds one stopped service per shard;
@@ -959,8 +960,9 @@ func (r *Router) migrate(victim, thief, n int) int {
 		}
 	}
 	if len(rest) > 0 {
-		// Victim started draining since the steal: force the jobs back
-		// into its queue (a draining loop still finishes its queue).
+		// The victim refilled or started draining since the steal: force
+		// the jobs back into its queue's reserve (a draining loop still
+		// finishes its queue).
 		r.shards[victim].ForceRequeue(rest)
 		r.noteOwner(rest, victim)
 	}
@@ -1032,10 +1034,6 @@ func (r *Router) Results() ([]*sim.Result, error) {
 	}
 	return out, nil
 }
-
-// Metrics returns the shared per-shard registry (tests; /metrics goes
-// through WriteMetrics, which also includes router-level series).
-func (r *Router) Metrics() *metrics.Registry { return r.svcReg }
 
 // WriteMetrics renders the per-shard and router registries as one
 // merged Prometheus exposition.

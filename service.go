@@ -1,15 +1,10 @@
 package dollymp
 
 // The online service layer, re-exported through the facade via type
-// aliases so embedders run the daemon core — a single scheduling loop
-// or a sharded deployment — without importing internal packages:
-//
-//	svc, _ := dollymp.NewService(dollymp.ServiceConfig{
-//	    Cluster: dollymp.Testbed30(), Scheduler: sched, Seed: 1,
-//	})
-//	svc.Start()
-//	id, _ := svc.Submit(ctx, job)        // waits for queue space
-//	http.ListenAndServe(addr, dollymp.NewAPIHandler(svc))
+// aliases so embedders run the daemon core without importing internal
+// packages. The Router is the one entry point: it owns edge admission
+// and serves the HTTP API over P scheduling loops, and a P=1 router
+// (Shards: 1) is bit-for-bit identical to one unsharded scheduling loop:
 //
 //	router, _ := dollymp.NewRouter(dollymp.RouterConfig{
 //	    Fleet: dollymp.LargeFleet(120, 1), Shards: 4,
@@ -18,6 +13,7 @@ package dollymp
 //	    },
 //	})
 //	router.Start()
+//	id, _ := router.Submit(ctx, job)     // waits for queue space
 //	http.ListenAndServe(addr, dollymp.NewAPIHandler(router))
 
 import (
@@ -30,19 +26,15 @@ import (
 // Service-layer aliases: the full method sets of the internal types are
 // available through them.
 type (
-	// Service is one online scheduling loop (daemon core).
-	Service = service.Service
-	// ServiceConfig configures a Service.
-	ServiceConfig = service.Config
-	// ServiceAPI is the lifecycle surface the HTTP layer serves; both
-	// *Service and *Router implement it.
+	// ServiceAPI is the lifecycle surface the HTTP layer serves; *Router
+	// implements it.
 	ServiceAPI = service.API
 	// JobInfo is the externally visible lifecycle record of one job.
 	JobInfo = service.JobInfo
 	// JobLifecycle labels a job's position in the service lifecycle
 	// (queued → admitted → running → completed).
 	JobLifecycle = service.JobState
-	// JobFilter selects jobs for Service.Jobs / Router.Jobs.
+	// JobFilter selects jobs for Router.Jobs.
 	JobFilter = service.JobFilter
 	// ServiceCounts is the service's job accounting.
 	ServiceCounts = service.Counts
@@ -83,9 +75,6 @@ var (
 	// ErrStopped: the service is draining and accepts no new work.
 	ErrStopped = service.ErrStopped
 )
-
-// NewService builds one stopped scheduling loop; call Start on it.
-func NewService(cfg ServiceConfig) (*Service, error) { return service.New(cfg) }
 
 // NewRouter partitions the fleet and builds one stopped service per
 // shard behind a load-aware router; call Start on it.
